@@ -24,7 +24,7 @@ from .client import ServiceClient, ServiceClientError
 from .fleet import FleetDaemon, default_daemon_id
 from .http_api import HttpFrontend, ServiceAPI
 from .lease import DEFAULT_TTL, Lease, LeaseManager, LeaseRenewer
-from .sync import CacheSync, job_cache_key
+from .sync import CacheSync
 from .wire import (
     WIRE_FORMAT,
     WIRE_VERSION,
@@ -53,7 +53,6 @@ __all__ = [
     "default_daemon_id",
     "envelope",
     "error_body",
-    "job_cache_key",
     "job_to_wire",
     "submit_from_wire",
     "submit_to_wire",

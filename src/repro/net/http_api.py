@@ -28,7 +28,6 @@ Endpoints (all bodies are the versioned wire format, ``repro.net.wire``):
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import re
 import threading
@@ -36,8 +35,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Type
 
 from ..obs.instrument import Instrumentation
-from ..service.cache import RESULT_CACHE_FORMAT, RESULT_CACHE_SUFFIX
+from ..service.cache import ResultCacheError
 from ..service.daemon import CheckingService
+from ..trace.corpus import TraceCorpus
 from ..trace.format import TRACE_SUFFIX
 from .wire import (
     WireError,
@@ -49,10 +49,10 @@ from .wire import (
 
 #: Content-addressed identifiers are SHA-256 hex; anything else in a
 #: cache path segment is rejected before it touches the filesystem.
-_KEY_RE = re.compile(r"^[0-9a-f]{64}$")
+KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 #: Trace corpus filenames: one safe path segment ending in the trace
 #: suffix (no separators, no parent references).
-_TRACE_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+TRACE_NAME_RE = re.compile(r"^[A-Za-z0-9._-]+" + re.escape(TRACE_SUFFIX) + "$")
 
 Reply = Tuple[int, Dict[str, Any]]
 
@@ -144,7 +144,7 @@ class ServiceAPI:
                 "jobs": by_status,
                 "total_jobs": len(jobs),
                 "cache_entries": len(self.service.cache),
-                "traces": len(self._trace_paths()),
+                "traces": len(TraceCorpus(self.service.traces_dir)),
                 "counters": counters,
             }
         )
@@ -187,16 +187,10 @@ class ServiceAPI:
     # -- sync endpoints (consumed by repro.net.sync) -------------------------
 
     def _cache_keys(self) -> Reply:
-        root = self.service.cache.root
-        keys = []
-        if root.is_dir():
-            for path in sorted(root.iterdir()):
-                if path.name.endswith(RESULT_CACHE_SUFFIX):
-                    keys.append(path.name[: -len(RESULT_CACHE_SUFFIX)])
-        return 200, envelope({"keys": keys})
+        return 200, envelope({"keys": self.service.cache.keys()})
 
     def _cache_entry(self, key: str) -> Reply:
-        if not _KEY_RE.match(key):
+        if not KEY_RE.match(key):
             return 400, error_body(f"malformed cache key {key!r}", 400)
         path = self.service.cache.path_for(key)
         if not path.exists():
@@ -206,13 +200,13 @@ class ServiceAPI:
     def _cache_push(self, key: str, body: Optional[bytes]) -> Reply:
         """Accept a peer's freshly computed entry (push-on-complete).
 
-        Validation mirrors what ``CacheSync`` applies to pulled
-        entries: hex key, the versioned cache format, and a key field
-        matching the path, so a push can never plant a mismatched
-        object.  Content addressing makes the write idempotent;
-        ``stored: false`` reports an entry we already had.
+        The entry is installed only if the decoder that serves cache
+        hits here accepts it as the entry for ``key`` (the check pulled
+        entries get too), so a push can never plant an entry this
+        build cannot serve.  Content addressing makes the write
+        idempotent; ``stored: false`` reports an entry we already had.
         """
-        if not _KEY_RE.match(key):
+        if not KEY_RE.match(key):
             return 400, error_body(f"malformed cache key {key!r}", 400)
         if not body:
             raise WireError("cache push: empty request")
@@ -221,32 +215,20 @@ class ServiceAPI:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireError(f"cache push: not valid JSON ({exc})") from exc
         entry = data.get("entry") if isinstance(data, dict) else None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("format") != RESULT_CACHE_FORMAT
-            or entry.get("key") != key
-        ):
-            raise WireError(f"cache push: not a result-cache entry for {key!r}")
-        path = self.service.cache.path_for(key)
-        if path.exists():
-            return 200, envelope({"key": key, "stored": False})
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".push.tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return 200, envelope({"key": key, "stored": True})
-
-    def _trace_paths(self) -> list:
-        root = pathlib.Path(self.service.traces_dir)
-        if not root.is_dir():
-            return []
-        return sorted(p for p in root.iterdir() if p.name.endswith(TRACE_SUFFIX))
+        try:
+            stored = self.service.cache.install(key, entry)
+        except ResultCacheError as exc:
+            raise WireError(
+                f"cache push: not a result-cache entry for {key!r} ({exc})"
+            ) from exc
+        return 200, envelope({"key": key, "stored": stored})
 
     def _trace_names(self) -> Reply:
-        return 200, envelope({"names": [p.name for p in self._trace_paths()]})
+        paths = TraceCorpus(self.service.traces_dir).paths()
+        return 200, envelope({"names": [p.name for p in paths]})
 
     def _trace(self, name: str) -> Reply:
-        if not _TRACE_RE.match(name) or not name.endswith(TRACE_SUFFIX):
+        if not TRACE_NAME_RE.match(name):
             return 400, error_body(f"malformed trace name {name!r}", 400)
         path = pathlib.Path(self.service.traces_dir) / name
         if not path.exists():

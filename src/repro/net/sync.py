@@ -28,54 +28,17 @@ local daemon can always fall back to doing the work itself.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import re
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..core.execution import ExecutionConfig
 from ..obs.instrument import Instrumentation
-from ..search.strategy import SearchLimits
-from ..service.cache import (
-    RESULT_CACHE_FORMAT,
-    result_cache_key,
-)
-from ..service.daemon import CheckingService, resolve_spec
+from ..service.cache import ResultCacheError
+from ..service.daemon import CheckingService
 from ..service.jobs import Job
-from ..trace.format import TRACE_SUFFIX
+from ..trace.corpus import TraceCorpus
+from ..trace.format import TraceFormatError, TraceRecord
 from .client import ServiceClient, ServiceClientError
-
-_KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-_TRACE_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-
-
-def job_cache_key(job: Job) -> Optional[str]:
-    """The result-cache key the daemon's checker will compute for
-    ``job`` -- the shared vocabulary that makes cross-host sync work.
-
-    Mirrors :meth:`repro.chess.checker.ChessChecker.check`: the
-    daemon runs jobs under the default :class:`ExecutionConfig`, and
-    ``workers`` is excluded from keying (serial and parallel runs
-    report identical results).  ``None`` if the spec does not resolve
-    here -- the job will fail properly when run, not during sync.
-    """
-    try:
-        program = resolve_spec(job.spec)
-    except Exception:  # noqa: BLE001 - sync must never break the claim loop
-        return None
-    limits = SearchLimits(
-        max_executions=job.max_executions,
-        max_transitions=job.max_transitions,
-        stop_on_first_bug=job.stop_on_first_bug,
-    )
-    return result_cache_key(
-        program,
-        ExecutionConfig(),
-        limits=limits,
-        max_bound=job.max_bound,
-        state_caching=job.state_caching,
-        analysis=False,
-    )
+from .http_api import KEY_RE, TRACE_NAME_RE
 
 
 class CacheSync:
@@ -99,31 +62,33 @@ class CacheSync:
             client.timeout = min(client.timeout, timeout)
             client.retries = min(client.retries, 1)
 
-    # -- writing fetched objects ---------------------------------------------
-
-    def _write_atomic(self, target: pathlib.Path, payload: Any) -> None:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".sync.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, target)
+    # -- installing fetched objects ------------------------------------------
+    #
+    # A peer's object is installed only once the decoder that reads it
+    # locally accepts it, so a newer, older or broken peer can never
+    # plant an entry that fails the next job or ``corpus run``.
 
     def _store_entry(self, key: str, entry: Any, source: str) -> bool:
-        """Validate and install one fetched cache entry."""
-        if not isinstance(entry, dict):
+        """Install one fetched cache entry if ``ResultCache`` can serve it."""
+        try:
+            if not self.service.cache.install(key, entry):
+                return False
+        except ResultCacheError:
             return False
-        if entry.get("format") != RESULT_CACHE_FORMAT or entry.get("key") != key:
-            return False
-        self._write_atomic(self.service.cache.path_for(key), entry)
         if self.obs is not None:
             self.obs.cache_sync_hit(key, source, kind="result")
         return True
 
     def _store_trace(self, name: str, trace: Any, source: str) -> bool:
-        if not _TRACE_RE.match(name) or not name.endswith(TRACE_SUFFIX):
+        """Install one fetched trace if it loads, in the trace's own
+        serialization (byte-identical to the peer's file)."""
+        if not TRACE_NAME_RE.match(name):
             return False
-        if not isinstance(trace, dict):
+        try:
+            record = TraceRecord.from_json(trace)
+        except TraceFormatError:
             return False
-        self._write_atomic(pathlib.Path(self.service.traces_dir) / name, trace)
+        record.save(pathlib.Path(self.service.traces_dir) / name)
         if self.obs is not None:
             self.obs.cache_sync_hit(name, source, kind="trace")
         return True
@@ -138,7 +103,7 @@ class CacheSync:
         success the checker's own cache lookup hits and the job is
         served without exploration.
         """
-        key = job_cache_key(job)
+        key = self.service.cache_key(job)
         if key is None or not self.clients:
             return None
         if self.service.cache.path_for(key).exists():
@@ -164,7 +129,7 @@ class CacheSync:
         """
         if not self.clients:
             return 0
-        key = job_cache_key(job)
+        key = self.service.cache_key(job)
         if key is None:
             return 0
         path = self.service.cache.path_for(key)
@@ -187,24 +152,6 @@ class CacheSync:
 
     # -- anti-entropy --------------------------------------------------------
 
-    def _local_keys(self) -> set:
-        root = self.service.cache.root
-        if not root.is_dir():
-            return set()
-        from ..service.cache import RESULT_CACHE_SUFFIX
-
-        return {
-            p.name[: -len(RESULT_CACHE_SUFFIX)]
-            for p in root.iterdir()
-            if p.name.endswith(RESULT_CACHE_SUFFIX)
-        }
-
-    def _local_traces(self) -> set:
-        root = pathlib.Path(self.service.traces_dir)
-        if not root.is_dir():
-            return set()
-        return {p.name for p in root.iterdir() if p.name.endswith(TRACE_SUFFIX)}
-
     def anti_entropy(self) -> Dict[str, int]:
         """One sweep: pull every cache entry and trace a peer has and
         we do not.  Returns ``{"results": n, "traces": n}`` pulled.
@@ -216,9 +163,9 @@ class CacheSync:
                 remote_traces = client.trace_names()
             except ServiceClientError:
                 continue  # peer down; next sweep will catch up
-            have = self._local_keys()
+            have = set(self.service.cache.keys())
             for key in remote_keys:
-                if key in have or not _KEY_RE.match(key):
+                if key in have or not KEY_RE.match(key):
                     continue
                 try:
                     entry = client.cache_entry(key)
@@ -226,7 +173,7 @@ class CacheSync:
                     continue
                 if self._store_entry(key, entry, client.base_url):
                     pulled["results"] += 1
-            have_traces = self._local_traces()
+            have_traces = {p.name for p in TraceCorpus(self.service.traces_dir).paths()}
             for name in remote_traces:
                 if name in have_traces:
                     continue

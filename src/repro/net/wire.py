@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
 from ..service.jobs import Job
+from ..store import check_stamp
 
 WIRE_FORMAT = "repro-net-wire"
 WIRE_VERSION = 1
@@ -45,18 +46,9 @@ def envelope(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 def check_envelope(data: Any, where: str = "body") -> Dict[str, Any]:
     """Validate the stamp on a decoded body; returns it unwrapped."""
-    if not isinstance(data, dict):
-        raise WireError(f"{where}: must be a JSON object")
-    fmt = data.get("format")
-    if fmt != WIRE_FORMAT:
-        raise WireError(f"{where}: not a {WIRE_FORMAT} body (format={fmt!r})")
-    version = data.get("version")
-    if version != WIRE_VERSION:
-        raise WireError(
-            f"{where}: unsupported wire version {version!r} "
-            f"(this build speaks {WIRE_VERSION})"
-        )
-    return data
+    return check_stamp(
+        data, WIRE_FORMAT, WIRE_VERSION, WireError, "wire", where=where, noun="body"
+    )
 
 
 def error_body(message: str, status: int) -> Dict[str, Any]:

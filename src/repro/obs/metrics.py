@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
+from ..store import check_stamp, read_json, write_atomic
 from .events import ObsFormatError
 from .profile import Profiler
 
@@ -263,12 +264,10 @@ class MetricsSnapshot:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MetricsSnapshot":
-        if not isinstance(data, dict) or data.get("format") != METRICS_FORMAT:
-            raise ObsFormatError("not a repro-metrics document")
-        if data.get("version") != METRICS_VERSION:
-            raise ObsFormatError(
-                f"unsupported metrics version {data.get('version')!r}"
-            )
+        check_stamp(
+            data, METRICS_FORMAT, METRICS_VERSION, ObsFormatError, "metrics",
+            noun="document",
+        )
         try:
             return cls(
                 counters={str(k): int(v) for k, v in data["counters"].items()},
@@ -293,17 +292,11 @@ class MetricsSnapshot:
             raise ObsFormatError(f"malformed metrics document: {exc}") from exc
 
     def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        path = pathlib.Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
+        return write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "MetricsSnapshot":
-        try:
-            data = json.loads(pathlib.Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ObsFormatError(f"cannot read metrics file {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(read_json(path, ObsFormatError, "metrics file"))
 
     # -- rendering ---------------------------------------------------------
 

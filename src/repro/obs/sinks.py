@@ -24,6 +24,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
+from ..store import check_stamp
 from .events import (
     Event,
     ObsFormatError,
@@ -84,12 +85,10 @@ def validate_event_log(path: Union[str, pathlib.Path]) -> List[Event]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ObsFormatError(f"{path}:1: header is not JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != EVENTS_FORMAT:
-        raise ObsFormatError(f"{path}:1: not a {EVENTS_FORMAT} log")
-    if header.get("version") != EVENTS_VERSION:
-        raise ObsFormatError(
-            f"{path}:1: unsupported event-log version {header.get('version')!r}"
-        )
+    check_stamp(
+        header, EVENTS_FORMAT, EVENTS_VERSION, ObsFormatError, "event-log",
+        where=f"{path}:1", noun="log",
+    )
     events: List[Event] = []
     for number, line in enumerate(lines[1:], start=2):
         if not line.strip():

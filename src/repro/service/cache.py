@@ -40,25 +40,23 @@ exploration (``extras["corpus_fastpath"] = True``).
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import pathlib
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
 from ..errors import ReproError
 from ..obs.instrument import Instrumentation
 from ..search.strategy import SearchContext, SearchLimits, SearchResult
-from ..trace.format import ProgramFingerprint, config_to_json
-from .checkpoint import (
-    CheckpointError,
-    _bug_from_json,
-    _bug_to_json,
-    _require,
-    _sanitize_detail,
-    _ThreadTable,
+from ..store import check_stamp, content_digest, read_json, require, write_atomic
+from ..trace.format import ThreadTable
+from .codec import (
+    context_from_json,
+    context_to_json,
+    int_pairs,
+    sanitize_detail,
+    search_identity,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -83,11 +81,9 @@ def result_cache_key(
     analysis: bool = False,
 ) -> str:
     """The content address of one check's outcome (see module docstring)."""
-    fp = ProgramFingerprint.of(program)
     limits = limits or SearchLimits()
-    payload = {
-        "program": {"name": fp.name, "structure": fp.structure},
-        "config": config_to_json(config or ExecutionConfig()),
+    return content_digest({
+        **search_identity(program, config),
         "limits": {
             "max_executions": limits.max_executions,
             "max_transitions": limits.max_transitions,
@@ -99,15 +95,11 @@ def result_cache_key(
             "state_caching": state_caching,
             "analysis": analysis,
         },
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return digest
+    })
 
 
 def _extras_to_json(extras: Dict[str, Any]) -> List[List[Any]]:
-    return [[key, _sanitize_detail(value)] for key, value in sorted(extras.items())]
+    return [[key, sanitize_detail(value)] for key, value in sorted(extras.items())]
 
 
 def _extras_from_json(data: Any, where: str) -> Dict[str, Any]:
@@ -143,12 +135,18 @@ class ResultCache:
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key}{RESULT_CACHE_SUFFIX}"
 
-    def __len__(self) -> int:
+    def keys(self) -> List[str]:
+        """The keys of every stored entry, sorted."""
         if not self.root.is_dir():
-            return 0
-        return sum(
-            1 for p in self.root.iterdir() if p.name.endswith(RESULT_CACHE_SUFFIX)
+            return []
+        return sorted(
+            p.name[: -len(RESULT_CACHE_SUFFIX)]
+            for p in self.root.iterdir()
+            if p.name.endswith(RESULT_CACHE_SUFFIX)
         )
+
+    def __len__(self) -> int:
+        return len(self.keys())
 
     # -- policy --------------------------------------------------------------
 
@@ -184,12 +182,15 @@ class ResultCache:
             return None
         search = result.search
         ctx = search.context
-        table = _ThreadTable()
-        bugs = [_bug_to_json(bug, table) for bug in ctx.bugs.values()]
+        table = ThreadTable()
+        context = context_to_json(ctx, ctx.bugs.values(), ctx.history, table)
         by_bound: Dict[int, int] = {}
         for bound in ctx.states.values():
             by_bound[bound] = by_bound.get(bound, 0) + 1
-        payload = {
+        context["states_by_bound"] = [
+            [bound, count] for bound, count in sorted(by_bound.items())
+        ]
+        return self._write(key, {
             "format": RESULT_CACHE_FORMAT,
             "version": RESULT_CACHE_VERSION,
             "key": key,
@@ -201,29 +202,29 @@ class ResultCache:
             "stop_on_first_bug": ctx.limits.stop_on_first_bug,
             "threads": table.to_json(),
             "extras": _extras_to_json(search.extras),
-            "context": {
-                "executions": ctx.executions,
-                "transitions": ctx.transitions,
-                "analysis_pruned": ctx.analysis_pruned,
-                "max_steps": ctx.max_steps,
-                "max_blocking": ctx.max_blocking,
-                "max_preemptions": ctx.max_preemptions,
-                "states_by_bound": [
-                    [bound, count] for bound, count in sorted(by_bound.items())
-                ],
-                "bugs": bugs,
-                "history": [[e, s] for e, s in ctx.history],
-            },
-        }
+            "context": context,
+        })
+
+    def install(self, key: str, entry: Any) -> bool:
+        """Install a peer's ``entry`` under ``key`` unless one is
+        already there; returns whether it was written.
+
+        The entry must first pass the decoder :meth:`lookup` uses, so
+        fleet sync can never plant an entry this build cannot serve;
+        a rejected one raises :class:`ResultCacheError`.
+        """
+        self._decode(entry, key)
+        if self.path_for(key).exists():
+            return False
+        self._write(key, entry)
+        return True
+
+    def _write(self, key: str, entry: Dict[str, Any]) -> pathlib.Path:
         target = self.path_for(key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
         try:
-            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-            os.replace(tmp, target)
+            return write_atomic(target, json.dumps(entry, sort_keys=True) + "\n")
         except OSError as exc:
             raise ResultCacheError(f"cannot write cache entry {target}: {exc}") from exc
-        return target
 
     # -- serving -------------------------------------------------------------
 
@@ -232,11 +233,7 @@ class ResultCache:
         path = self.path_for(key)
         if not path.exists():
             return None
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ResultCacheError(f"cannot read cache entry {path}: {exc}") from exc
-        result = self._decode(data, key)
+        result = self._decode(read_json(path, ResultCacheError, "cache entry"), key)
         if self.obs is not None:
             self.obs.cache_served(key, result.program)
         return result
@@ -244,94 +241,55 @@ class ResultCache:
     def _decode(self, data: Any, key: str) -> "CheckResult":
         from ..chess.checker import CheckResult
 
-        where = "cache entry"
-        if not isinstance(data, dict):
-            raise ResultCacheError(f"{where}: must be a JSON object")
-        try:
-            fmt = _require(data, "format", str, where)
-            if fmt != RESULT_CACHE_FORMAT:
-                raise ResultCacheError(
-                    f"not a {RESULT_CACHE_FORMAT} file (format={fmt!r})"
-                )
-            version = _require(data, "version", int, where)
-            if version != RESULT_CACHE_VERSION:
-                raise ResultCacheError(
-                    f"unsupported cache version {version} "
-                    f"(this build reads {RESULT_CACHE_VERSION})"
-                )
-            threads = _ThreadTable.decode(
-                _require(data, "threads", list, where), "threads"
+        where, error = "cache entry", ResultCacheError
+        check_stamp(data, RESULT_CACHE_FORMAT, RESULT_CACHE_VERSION, error, "cache")
+        if data.get("key") != key:
+            raise ResultCacheError(
+                f"{where}: key {data.get('key')!r} does not match {key!r}"
             )
-            context = _require(data, "context", dict, where)
-            stop_on_first = bool(data.get("stop_on_first_bug"))
-            ctx = SearchContext(SearchLimits(stop_on_first_bug=stop_on_first))
-            ctx.executions = _require(context, "executions", int, "context")
-            ctx.transitions = _require(context, "transitions", int, "context")
-            ctx.analysis_pruned = _require(context, "analysis_pruned", int, "context")
-            ctx.max_steps = _require(context, "max_steps", int, "context")
-            ctx.max_blocking = _require(context, "max_blocking", int, "context")
-            ctx.max_preemptions = _require(context, "max_preemptions", int, "context")
-            states: Dict[Any, int] = {}
-            for i, pair in enumerate(
-                _require(context, "states_by_bound", list, "context")
-            ):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(
-                        isinstance(v, int) and not isinstance(v, bool) for v in pair
-                    )
-                ):
-                    raise ResultCacheError(
-                        f"context.states_by_bound[{i}] must be a "
-                        "[bound, count] int pair"
-                    )
-                bound, count = pair
-                for j in range(count):
-                    # Synthetic fingerprints: the histogram is exact,
-                    # the raw hash values are not worth persisting.
-                    states[("cached", bound, j)] = bound
-            ctx.states = states
-            for i, entry in enumerate(_require(context, "bugs", list, "context")):
-                bug = _bug_from_json(entry, threads, f"context.bugs[{i}]")
-                ctx.bugs[bug.signature] = bug
-            history: List[Tuple[int, int]] = []
-            for i, pair in enumerate(_require(context, "history", list, "context")):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(
-                        isinstance(v, int) and not isinstance(v, bool) for v in pair
-                    )
-                ):
-                    raise ResultCacheError(
-                        f"context.history[{i}] must be an [executions, states] pair"
-                    )
-                history.append((pair[0], pair[1]))
-            ctx.history = history
-            extras = _extras_from_json(_require(data, "extras", list, where), "extras")
-            extras["cache_hit"] = True
-            extras["served_from"] = key
-            certified = data.get("certified_bound")
-            if certified is not None and (
-                not isinstance(certified, int) or isinstance(certified, bool)
-            ):
-                raise ResultCacheError("certified_bound must be an integer or null")
-            search = SearchResult(
-                strategy=_require(data, "strategy", str, where),
-                completed=_require(data, "completed", bool, where),
-                stop_reason=_require(data, "stop_reason", str, where),
-                context=ctx,
-                extras=extras,
-            )
-            return CheckResult(
-                program=_require(data, "program", str, where),
-                search=search,
-                certified_bound=certified,
-            )
-        except CheckpointError as exc:
-            # The shared decoding helpers raise their own error type.
-            raise ResultCacheError(str(exc)) from exc
+        threads = ThreadTable.decode(
+            require(data, "threads", list, where, error), "threads", error
+        )
+        context = require(data, "context", dict, where, error)
+        counters, bugs, history = context_from_json(context, threads, error)
+        ctx = SearchContext(
+            SearchLimits(stop_on_first_bug=bool(data.get("stop_on_first_bug")))
+        )
+        for name, value in counters.items():
+            setattr(ctx, name, value)
+        states: Dict[Any, int] = {}
+        for bound, count in int_pairs(
+            context.get("states_by_bound"),
+            "context.states_by_bound",
+            "[bound, count]",
+            error,
+        ):
+            for j in range(count):
+                # Synthetic fingerprints: the histogram is exact,
+                # the raw hash values are not worth persisting.
+                states[("cached", bound, j)] = bound
+        ctx.states = states
+        ctx.bugs = {bug.signature: bug for bug in bugs}
+        ctx.history = list(history)
+        extras = _extras_from_json(
+            require(data, "extras", list, where, error), "extras"
+        )
+        extras["cache_hit"] = True
+        extras["served_from"] = key
+        search = SearchResult(
+            strategy=require(data, "strategy", str, where, error),
+            completed=require(data, "completed", bool, where, error),
+            stop_reason=require(data, "stop_reason", str, where, error),
+            context=ctx,
+            extras=extras,
+        )
+        return CheckResult(
+            program=require(data, "program", str, where, error),
+            search=search,
+            certified_bound=require(
+                data, "certified_bound", int, where, error, optional=True
+            ),
+        )
 
     # -- corpus fast path ----------------------------------------------------
 

@@ -29,15 +29,14 @@ deliberately *excluded* from the fingerprint: resuming an interrupted
 run with a bigger budget or a deeper bound is the point of the
 exercise.
 
-The on-disk representation is versioned JSON, written atomically
-(temp file + ``os.replace``) so a crash mid-save leaves the previous
+The on-disk representation is versioned JSON, written through
+:func:`repro.store.write_atomic` so a crash mid-save leaves the previous
 checkpoint intact.  See ``docs/service.md`` for the full schema.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import (
@@ -54,13 +53,22 @@ from typing import (
 from ..core.execution import ExecutionConfig
 from ..core.program import Program
 from ..core.thread import ThreadId
-from ..errors import BugKind, BugReport, ReproError
+from ..errors import BugReport, ReproError
+from ..obs.events import ObsFormatError
 from ..obs.instrument import Instrumentation
 from ..obs.metrics import MetricsSnapshot
 from ..parallel.workitem import WorkItem
 from ..search.statecache import WorkItemCache
 from ..search.strategy import SearchContext, SearchLimits, SearchResult
-from ..trace.format import ProgramFingerprint, config_from_json, config_to_json
+from ..store import check_stamp, read_json, require, write_atomic
+from ..trace.format import ThreadTable, decode_schedule, thread_at
+from .codec import (
+    COUNTERS,
+    context_from_json,
+    context_to_json,
+    int_pairs,
+    search_identity,
+)
 
 #: Identifies a file as a checkpoint regardless of extension.
 CHECKPOINT_FORMAT = "repro-checkpoint"
@@ -99,17 +107,6 @@ def hash_probe() -> int:
     return hash(HASH_PROBE_TEXT)
 
 
-def _require(data: Dict[str, Any], key: str, kind: type, where: str) -> Any:
-    if not isinstance(data, dict) or key not in data:
-        raise CheckpointError(f"{where}: missing required key {key!r}")
-    value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise CheckpointError(
-            f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
 def search_fingerprint(
     program: Program,
     config: Optional[ExecutionConfig] = None,
@@ -123,10 +120,8 @@ def search_fingerprint(
     explore the same executions, so a checkpoint written by either
     engine can be resumed by the other.
     """
-    fp = ProgramFingerprint.of(program)
     return {
-        "program": {"name": fp.name, "structure": fp.structure},
-        "config": config_to_json(config or ExecutionConfig()),
+        **search_identity(program, config),
         "strategy": strategy,
         "state_caching": state_caching,
         "analysis": analysis,
@@ -134,119 +129,8 @@ def search_fingerprint(
     }
 
 
-class _ThreadTable:
-    """Deduplicating encoder for :class:`ThreadId` s in one checkpoint."""
-
-    def __init__(self) -> None:
-        self.threads: List[ThreadId] = []
-        self._index: Dict[ThreadId, int] = {}
-
-    def index(self, tid: ThreadId) -> int:
-        known = self._index.get(tid)
-        if known is None:
-            known = self._index[tid] = len(self.threads)
-            self.threads.append(tid)
-        return known
-
-    def encode_schedule(self, schedule: Iterable[ThreadId]) -> List[int]:
-        return [self.index(tid) for tid in schedule]
-
-    def to_json(self) -> List[Dict[str, Any]]:
-        return [{"path": list(t.path), "label": t.label} for t in self.threads]
-
-    @staticmethod
-    def decode(data: Any, where: str) -> List[ThreadId]:
-        if not isinstance(data, list):
-            raise CheckpointError(f"{where}: threads must be a list")
-        threads: List[ThreadId] = []
-        for i, entry in enumerate(data):
-            path = _require(entry, "path", list, f"{where}[{i}]")
-            label = _require(entry, "label", str, f"{where}[{i}]")
-            try:
-                threads.append(ThreadId.from_path(path, label))
-            except ValueError as exc:
-                raise CheckpointError(f"{where}[{i}]: {exc}") from exc
-        return threads
-
-
-def _decode_schedule(
-    data: Any, threads: List[ThreadId], where: str
-) -> Tuple[ThreadId, ...]:
-    if not isinstance(data, list):
-        raise CheckpointError(f"{where}: schedule must be a list")
-    out: List[ThreadId] = []
-    for i, idx in enumerate(data):
-        if not isinstance(idx, int) or isinstance(idx, bool) or not (
-            0 <= idx < len(threads)
-        ):
-            raise CheckpointError(
-                f"{where}[{i}]: index {idx!r} out of range for "
-                f"{len(threads)} thread(s)"
-            )
-        out.append(threads[idx])
-    return tuple(out)
-
-
-def _sanitize_detail(value: Any) -> Any:
-    """Reduce a bug-detail value to JSON primitives.
-
-    Details never participate in bug signatures or identities, so a
-    lossy ``str()`` fallback cannot affect dedup or parity -- only the
-    human-facing rendering of exotic payloads.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_sanitize_detail(v) for v in value]
-    return str(value)
-
-
-def _bug_to_json(bug: BugReport, table: _ThreadTable) -> Dict[str, Any]:
-    return {
-        "kind": bug.kind.value,
-        "message": bug.message,
-        "thread": table.index(bug.thread) if bug.thread is not None else None,
-        "schedule": table.encode_schedule(bug.schedule),
-        "preemptions": bug.preemptions,
-        "step_index": bug.step_index,
-        "details": [[key, _sanitize_detail(value)] for key, value in bug.details],
-    }
-
-
-def _bug_from_json(data: Any, threads: List[ThreadId], where: str) -> BugReport:
-    try:
-        kind = BugKind(_require(data, "kind", str, where))
-    except ValueError as exc:
-        raise CheckpointError(f"{where}: {exc}") from exc
-    thread_raw = data.get("thread") if isinstance(data, dict) else None
-    if thread_raw is not None:
-        if not isinstance(thread_raw, int) or isinstance(thread_raw, bool) or not (
-            0 <= thread_raw < len(threads)
-        ):
-            raise CheckpointError(f"{where}: thread index {thread_raw!r} out of range")
-        thread: Optional[ThreadId] = threads[thread_raw]
-    else:
-        thread = None
-    details_raw = _require(data, "details", list, where)
-    details: List[Tuple[str, Any]] = []
-    for i, pair in enumerate(details_raw):
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise CheckpointError(f"{where}: details[{i}] must be a [key, value] pair")
-        value = pair[1]
-        details.append((pair[0], tuple(value) if isinstance(value, list) else value))
-    return BugReport(
-        kind=kind,
-        message=_require(data, "message", str, where),
-        thread=thread,
-        schedule=_decode_schedule(data.get("schedule"), threads, f"{where}.schedule"),
-        preemptions=_require(data, "preemptions", int, where),
-        step_index=_require(data, "step_index", int, where),
-        details=tuple(details),
-    )
-
-
 def _items_to_json(
-    items: Sequence[WorkItem], table: _ThreadTable
+    items: Sequence[WorkItem], table: ThreadTable
 ) -> List[Dict[str, Any]]:
     return [
         {
@@ -265,19 +149,22 @@ def _items_from_json(
         raise CheckpointError(f"{where}: must be a list")
     items: List[WorkItem] = []
     for i, entry in enumerate(data):
-        schedule = _decode_schedule(
-            entry.get("schedule") if isinstance(entry, dict) else None,
-            threads,
-            f"{where}[{i}].schedule",
-        )
-        tid_idx = _require(entry, "tid", int, f"{where}[{i}]")
-        if not (0 <= tid_idx < len(threads)):
-            raise CheckpointError(f"{where}[{i}]: tid index {tid_idx!r} out of range")
+        at = f"{where}[{i}]"
         items.append(
             WorkItem(
-                schedule=schedule,
-                tid=threads[tid_idx],
-                preemptions=_require(entry, "preemptions", int, f"{where}[{i}]"),
+                schedule=decode_schedule(
+                    entry.get("schedule") if isinstance(entry, dict) else None,
+                    threads,
+                    f"{at}.schedule",
+                    CheckpointError,
+                ),
+                tid=thread_at(
+                    require(entry, "tid", int, at, CheckpointError),
+                    threads,
+                    f"{at}.tid",
+                    CheckpointError,
+                ),
+                preemptions=require(entry, "preemptions", int, at, CheckpointError),
             )
         )
     return tuple(items)
@@ -346,25 +233,17 @@ class Checkpoint:
                     f"(got {type(fp).__name__})"
                 )
             states[fp] = preemptions
-        cache_state: Optional[Dict[str, Any]] = None
-        if cache is not None:
-            cache_state = cache.export_state()
         return cls(
             fingerprint=dict(fingerprint),
             bound=bound,
             completed_bound=completed_bound,
             work_items=tuple(work_items),
             next_items=tuple(next_items),
-            executions=ctx.executions,
-            transitions=ctx.transitions,
-            analysis_pruned=ctx.analysis_pruned,
-            max_steps=ctx.max_steps,
-            max_blocking=ctx.max_blocking,
-            max_preemptions=ctx.max_preemptions,
+            **{name: getattr(ctx, name) for name in COUNTERS},
             states=states,
             bugs=tuple(ctx.bugs.values()),
             history=tuple(ctx.history),
-            cache=cache_state,
+            cache=cache.export_state() if cache is not None else None,
             metrics=metrics,
             parallel=dict(parallel or {}),
             sequence=sequence,
@@ -373,10 +252,11 @@ class Checkpoint:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
-        table = _ThreadTable()
+        table = ThreadTable()
         work = _items_to_json(self.work_items, table)
         nxt = _items_to_json(self.next_items, table)
-        bugs = [_bug_to_json(bug, table) for bug in self.bugs]
+        context = context_to_json(self, self.bugs, self.history, table)
+        context["states"] = [[fp, pre] for fp, pre in sorted(self.states.items())]
         cache_json: Optional[Dict[str, Any]] = None
         if self.cache is not None:
             cache_json = {
@@ -396,17 +276,7 @@ class Checkpoint:
             "threads": table.to_json(),
             "work_items": work,
             "next_items": nxt,
-            "context": {
-                "executions": self.executions,
-                "transitions": self.transitions,
-                "analysis_pruned": self.analysis_pruned,
-                "max_steps": self.max_steps,
-                "max_blocking": self.max_blocking,
-                "max_preemptions": self.max_preemptions,
-                "states": [[fp, pre] for fp, pre in sorted(self.states.items())],
-                "bugs": bugs,
-                "history": [[e, s] for e, s in self.history],
-            },
+            "context": context,
             "cache": cache_json,
             "metrics": self.metrics.to_dict() if self.metrics is not None else None,
             "parallel": dict(self.parallel),
@@ -414,85 +284,44 @@ class Checkpoint:
 
     @classmethod
     def from_json(cls, data: Any) -> "Checkpoint":
-        if not isinstance(data, dict):
-            raise CheckpointError(
-                f"checkpoint must be a JSON object, got {type(data).__name__}"
-            )
-        where = "checkpoint"
-        fmt = _require(data, "format", str, where)
-        if fmt != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"not a {CHECKPOINT_FORMAT} file (format={fmt!r})")
-        version = _require(data, "version", int, where)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {version} "
-                f"(this build reads {CHECKPOINT_VERSION})"
-            )
-        fingerprint = _require(data, "fingerprint", dict, where)
-        threads = _ThreadTable.decode(_require(data, "threads", list, where), "threads")
-        context = _require(data, "context", dict, where)
-        states_raw = _require(context, "states", list, "context")
-        states: Dict[int, int] = {}
-        for i, pair in enumerate(states_raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-            ):
-                raise CheckpointError(
-                    f"context.states[{i}] must be a [fingerprint, bound] int pair"
-                )
-            states[pair[0]] = pair[1]
-        bugs_raw = _require(context, "bugs", list, "context")
-        bugs = tuple(
-            _bug_from_json(entry, threads, f"context.bugs[{i}]")
-            for i, entry in enumerate(bugs_raw)
+        where, error = "checkpoint", CheckpointError
+        check_stamp(data, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, error, where)
+        threads = ThreadTable.decode(
+            require(data, "threads", list, where, error), "threads", error
         )
-        history_raw = _require(context, "history", list, "context")
-        history: List[Tuple[int, int]] = []
-        for i, pair in enumerate(history_raw):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-            ):
-                raise CheckpointError(
-                    f"context.history[{i}] must be an [executions, states] int pair"
-                )
-            history.append((pair[0], pair[1]))
-        completed_bound = data.get("completed_bound")
-        if completed_bound is not None and (
-            not isinstance(completed_bound, int) or isinstance(completed_bound, bool)
-        ):
-            raise CheckpointError("completed_bound must be an integer or null")
-        cache_raw = data.get("cache")
+        context = require(data, "context", dict, where, error)
+        counters, bugs, history = context_from_json(context, threads, error)
+        states = dict(
+            int_pairs(
+                context.get("states"), "context.states", "[fingerprint, bound]", error
+            )
+        )
+        cache_raw = require(data, "cache", dict, where, error, optional=True)
         cache: Optional[Dict[str, Any]] = None
         if cache_raw is not None:
-            items_raw = _require(cache_raw, "items", list, "cache")
-            cache_items: List[Tuple[int, ThreadId]] = []
-            for i, pair in enumerate(items_raw):
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not isinstance(pair[0], int)
-                    or isinstance(pair[0], bool)
-                    or not isinstance(pair[1], int)
-                    or isinstance(pair[1], bool)
-                    or not (0 <= pair[1] < len(threads))
-                ):
-                    raise CheckpointError(
-                        f"cache.items[{i}] must be a [fingerprint, thread-index] pair"
-                    )
-                cache_items.append((pair[0], threads[pair[1]]))
+            pairs = int_pairs(
+                cache_raw.get("items"),
+                "cache.items",
+                "[fingerprint, thread-index]",
+                error,
+            )
             cache = {
-                "items": cache_items,
-                "hits": _require(cache_raw, "hits", int, "cache"),
-                "misses": _require(cache_raw, "misses", int, "cache"),
+                "items": [
+                    (fp, thread_at(idx, threads, f"cache.items[{i}]", error))
+                    for i, (fp, idx) in enumerate(pairs)
+                ],
+                "hits": require(cache_raw, "hits", int, "cache", error),
+                "misses": require(cache_raw, "misses", int, "cache", error),
             }
         metrics_raw = data.get("metrics")
-        metrics = (
-            MetricsSnapshot.from_dict(metrics_raw) if metrics_raw is not None else None
-        )
+        try:
+            metrics = (
+                MetricsSnapshot.from_dict(metrics_raw)
+                if metrics_raw is not None
+                else None
+            )
+        except ObsFormatError as exc:
+            raise CheckpointError(f"metrics: {exc}") from exc
         parallel_raw = data.get("parallel") or {}
         if not isinstance(parallel_raw, dict):
             raise CheckpointError("parallel must be an object")
@@ -502,55 +331,37 @@ class Checkpoint:
             if isinstance(v, int) and not isinstance(v, bool)
         }
         return cls(
-            fingerprint=fingerprint,
-            bound=_require(data, "bound", int, where),
-            completed_bound=completed_bound,
+            fingerprint=require(data, "fingerprint", dict, where, error),
+            bound=require(data, "bound", int, where, error),
+            completed_bound=require(
+                data, "completed_bound", int, where, error, optional=True
+            ),
             work_items=_items_from_json(
-                _require(data, "work_items", list, where), threads, "work_items"
+                require(data, "work_items", list, where, error), threads, "work_items"
             ),
             next_items=_items_from_json(
-                _require(data, "next_items", list, where), threads, "next_items"
+                require(data, "next_items", list, where, error), threads, "next_items"
             ),
-            executions=_require(context, "executions", int, "context"),
-            transitions=_require(context, "transitions", int, "context"),
-            analysis_pruned=_require(context, "analysis_pruned", int, "context"),
-            max_steps=_require(context, "max_steps", int, "context"),
-            max_blocking=_require(context, "max_blocking", int, "context"),
-            max_preemptions=_require(context, "max_preemptions", int, "context"),
+            **counters,
             states=states,
             bugs=bugs,
-            history=tuple(history),
+            history=history,
             cache=cache,
             metrics=metrics,
             parallel=parallel,
-            sequence=_require(data, "sequence", int, where),
+            sequence=require(data, "sequence", int, where, error),
         )
 
     def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Atomically persist this checkpoint (temp file + rename)."""
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(self.to_json(), sort_keys=True)
-        tmp = target.with_name(target.name + ".tmp")
+        """Atomically persist this checkpoint (see :func:`repro.store.write_atomic`)."""
         try:
-            tmp.write_text(payload + "\n")
-            os.replace(tmp, target)
+            return write_atomic(path, json.dumps(self.to_json(), sort_keys=True) + "\n")
         except OSError as exc:
-            raise CheckpointError(f"cannot write checkpoint {target}: {exc}") from exc
-        return target
+            raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "Checkpoint":
-        source = pathlib.Path(path)
-        try:
-            text = source.read_text()
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {source}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
-        return cls.from_json(data)
+        return cls.from_json(read_json(path, CheckpointError, "checkpoint"))
 
     # -- resuming -----------------------------------------------------------
 
@@ -587,15 +398,7 @@ class Checkpoint:
         absorbed and state/bug counts reconciled from the restored
         ground truth, so resumed metrics line up with the context.
         """
-        ctx.states = dict(self.states)
-        ctx.bugs = {bug.signature: bug for bug in self.bugs}
-        ctx.executions = self.executions
-        ctx.transitions = self.transitions
-        ctx.analysis_pruned = self.analysis_pruned
-        ctx.max_steps = self.max_steps
-        ctx.max_blocking = self.max_blocking
-        ctx.max_preemptions = self.max_preemptions
-        ctx.history = list(self.history)
+        self._install(ctx)
         obs = ctx.obs
         if obs is not None:
             if self.metrics is not None:
@@ -609,6 +412,13 @@ class Checkpoint:
             obs.checkpoint_resumed(
                 self.sequence, self.bound, self.executions, self.transitions
             )
+
+    def _install(self, ctx: SearchContext) -> None:
+        ctx.states = dict(self.states)
+        ctx.bugs = {bug.signature: bug for bug in self.bugs}
+        for name in COUNTERS:
+            setattr(ctx, name, getattr(self, name))
+        ctx.history = list(self.history)
 
     def restore_cache(self, cache: WorkItemCache) -> None:
         if self.cache is not None:
@@ -626,15 +436,7 @@ class Checkpoint:
         merged coverage history) deterministic.
         """
         ctx = SearchContext(limits)
-        ctx.states = dict(self.states)
-        ctx.bugs = {bug.signature: bug for bug in self.bugs}
-        ctx.executions = self.executions
-        ctx.transitions = self.transitions
-        ctx.analysis_pruned = self.analysis_pruned
-        ctx.max_steps = self.max_steps
-        ctx.max_blocking = self.max_blocking
-        ctx.max_preemptions = self.max_preemptions
-        ctx.history = list(self.history)
+        self._install(ctx)
         return SearchResult(
             strategy="icb-checkpoint",
             completed=False,

@@ -38,8 +38,9 @@ from ..core.program import Program
 from ..errors import ReproError
 from ..obs.instrument import Instrumentation
 from ..search.strategy import SearchLimits
+from ..store import read_json, write_atomic
 from ..trace.corpus import TraceCorpus
-from .cache import ResultCache
+from .cache import ResultCache, result_cache_key
 from .checkpoint import CHECKPOINT_SUFFIX, Checkpointer
 from .jobs import Job, JobQueue
 
@@ -95,13 +96,7 @@ class CheckingService:
         return self.results_dir / f"{job_id}{RESULT_SUFFIX}"
 
     def load_result(self, job_id: str) -> Dict[str, Any]:
-        path = self.result_path(job_id)
-        try:
-            return json.loads(path.read_text())
-        except OSError as exc:
-            raise ReproError(f"no result for {job_id}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"result for {job_id} is corrupt: {exc}") from exc
+        return read_json(self.result_path(job_id), ReproError, f"the result of {job_id}")
 
     # -- serving -------------------------------------------------------------
 
@@ -147,17 +142,38 @@ class CheckingService:
     def clear_checkpoint(self, job: Job) -> None:
         Checkpointer(self.checkpoint_path(job), {}).clear()
 
+    @staticmethod
+    def _outcome_args(job: Job) -> Dict[str, Any]:
+        """The outcome-relevant arguments :meth:`run_job` passes to
+        :meth:`ChessChecker.check`, which keys its result cache on them."""
+        return {
+            "max_bound": job.max_bound,
+            "limits": SearchLimits(
+                max_executions=job.max_executions,
+                max_transitions=job.max_transitions,
+                stop_on_first_bug=job.stop_on_first_bug,
+            ),
+            "state_caching": job.state_caching,
+        }
+
+    def cache_key(self, job: Job) -> Optional[str]:
+        """The result-cache key the checker stores ``job``'s result
+        under -- what fleet sync asks peers for.
+
+        Derived from the very arguments :meth:`run_job` checks with,
+        under the same default :class:`ExecutionConfig`; ``workers``
+        is not part of a key.  ``None`` if the spec does not resolve
+        here: the job then fails when run, not during sync.
+        """
+        try:
+            program = resolve_spec(job.spec)
+        except Exception:  # noqa: BLE001 - sync must never break the claim loop
+            return None
+        return result_cache_key(program, **self._outcome_args(job))
+
     def run_job(self, job: Job) -> CheckResult:
-        program = resolve_spec(job.spec)
-        limits = SearchLimits(
-            max_executions=job.max_executions,
-            max_transitions=job.max_transitions,
-            stop_on_first_bug=job.stop_on_first_bug,
-        )
-        return ChessChecker(program).check(
-            max_bound=job.max_bound,
-            limits=limits,
-            state_caching=job.state_caching,
+        return ChessChecker(resolve_spec(job.spec)).check(
+            **self._outcome_args(job),
             workers=job.workers,
             trace_dir=self.traces_dir,
             trace_spec=job.spec,
@@ -195,7 +211,6 @@ class CheckingService:
             "corpus_fastpath": bool(search.extras.get("corpus_fastpath")),
             "resumed": bool(search.extras.get("resumed")),
         }
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        path = self.result_path(job.id)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return path
+        return write_atomic(
+            self.result_path(job.id), json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        )

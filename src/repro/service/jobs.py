@@ -36,7 +36,6 @@ still raises :class:`JobQueueError`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -44,6 +43,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ReproError
+from ..store import content_digest
 
 JOURNAL_NAME = "jobs.jsonl"
 
@@ -56,6 +56,18 @@ FAILED = "failed"
 
 class JobQueueError(ReproError):
     """The journal is malformed or an operation is invalid."""
+
+
+#: The job fields that describe its work (see :meth:`Job.work_key`).
+WORK_FIELDS = (
+    "spec",
+    "max_bound",
+    "workers",
+    "stop_on_first_bug",
+    "max_executions",
+    "max_transitions",
+    "state_caching",
+)
 
 
 @dataclass
@@ -87,34 +99,14 @@ class Job:
 
     def work_key(self) -> Tuple[Any, ...]:
         """What makes two submissions "the same work" for dedup."""
-        return (
-            self.spec,
-            self.max_bound,
-            self.workers,
-            self.stop_on_first_bug,
-            self.max_executions,
-            self.max_transitions,
-            self.state_caching,
-        )
+        return tuple(getattr(self, name) for name in WORK_FIELDS)
 
     def identity(self) -> str:
         """The content address of this job's work: the SHA-256 of its
         sorted-JSON work description.  Two submissions with the same
         identity are the same work, which is what makes resubmits over
         the wire idempotent (see :mod:`repro.net`)."""
-        names = (
-            "spec",
-            "max_bound",
-            "workers",
-            "stop_on_first_bug",
-            "max_executions",
-            "max_transitions",
-            "state_caching",
-        )
-        payload = dict(zip(names, self.work_key()))
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        return content_digest(dict(zip(WORK_FIELDS, self.work_key())))
 
     def describe(self) -> str:
         extra = ""

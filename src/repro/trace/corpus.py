@@ -135,7 +135,6 @@ class TraceCorpus:
         the same bug twice (e.g. re-streamed after a worker retry, or
         found again by a later run) overwrites instead of duplicating.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
         return trace.save(self.root / trace.default_filename())
 
     # -- reading ------------------------------------------------------------

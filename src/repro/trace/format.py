@@ -21,17 +21,17 @@ validates the schema strictly -- a malformed or truncated trace raises
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 from ..core.execution import ExecutionConfig, RaceDetection, SchedulingPolicy
 from ..core.program import Program
 from ..core.thread import ThreadId
 from ..errors import BugKind, BugReport, ReproError
+from ..store import check_stamp, content_digest, read_json, require, write_atomic
 
 #: Identifies a file as one of ours regardless of extension.
 FORMAT_NAME = "repro-trace"
@@ -46,24 +46,76 @@ class TraceFormatError(ReproError):
     """A trace file violates the schema (or uses an unknown version)."""
 
 
-def _require(data: Dict[str, Any], key: str, kind: type, where: str) -> Any:
-    if key not in data:
-        raise TraceFormatError(f"{where}: missing required key {key!r}")
-    value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise TraceFormatError(
-            f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _path_tuple(value: Any, where: str) -> Tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise TraceFormatError(f"{where}: thread path must be a non-empty list")
+def thread_from_path(
+    path: Any, where: str, error: Type[ReproError], label: str = ""
+) -> ThreadId:
+    """:meth:`ThreadId.from_path`, raising ``error`` on a bad path."""
     try:
-        return ThreadId.from_path(value).path
+        return ThreadId.from_path(path, label)
     except ValueError as exc:
-        raise TraceFormatError(f"{where}: {exc}") from exc
+        raise error(f"{where}: {exc}") from exc
+
+
+def thread_at(
+    index: Any, threads: Sequence[ThreadId], where: str, error: Type[ReproError]
+) -> ThreadId:
+    """``threads[index]``, raising ``error`` unless ``index`` is in range."""
+    if not isinstance(index, int) or isinstance(index, bool) or not (
+        0 <= index < len(threads)
+    ):
+        raise error(
+            f"{where}: index {index!r} out of range for {len(threads)} thread(s)"
+        )
+    return threads[index]
+
+
+def decode_schedule(
+    data: Any, threads: Sequence[ThreadId], where: str, error: Type[ReproError]
+) -> Tuple[ThreadId, ...]:
+    """A schedule of thread-table indices, as thread identities."""
+    if not isinstance(data, list):
+        raise error(f"{where}: schedule must be a list")
+    return tuple(
+        thread_at(index, threads, f"{where}[{i}]", error)
+        for i, index in enumerate(data)
+    )
+
+
+class ThreadTable:
+    """Deduplicating encoder for the :class:`ThreadId` s of one document.
+
+    Traces, checkpoints and cache entries store each distinct thread
+    once, as ``{"path", "label"}``, and refer to it by index.
+    """
+
+    def __init__(self) -> None:
+        self.threads: List[ThreadId] = []
+        self._index: Dict[ThreadId, int] = {}
+
+    def index(self, tid: ThreadId) -> int:
+        known = self._index.get(tid)
+        if known is None:
+            known = self._index[tid] = len(self.threads)
+            self.threads.append(tid)
+        return known
+
+    def encode_schedule(self, schedule: Iterable[ThreadId]) -> List[int]:
+        return [self.index(tid) for tid in schedule]
+
+    def to_json(self) -> List[Dict[str, Any]]:
+        return [{"path": list(t.path), "label": t.label} for t in self.threads]
+
+    @staticmethod
+    def decode(data: Any, where: str, error: Type[ReproError]) -> List[ThreadId]:
+        if not isinstance(data, list):
+            raise error(f"{where}: threads must be a list")
+        threads: List[ThreadId] = []
+        for i, entry in enumerate(data):
+            at = f"{where}[{i}]"
+            path = require(entry, "path", list, at, error)
+            label = require(entry, "label", str, at, error, optional=True) or ""
+            threads.append(thread_from_path(path, at, error, label))
+        return threads
 
 
 @dataclass(frozen=True)
@@ -82,9 +134,11 @@ class ProgramFingerprint:
     @classmethod
     def of(cls, program: Program) -> "ProgramFingerprint":
         _, specs = program.instantiate()
-        payload = json.dumps([label for label, _, _ in specs], ensure_ascii=True)
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        digest = content_digest([label for label, _, _ in specs])[:16]
         return cls(name=program.name, structure=digest)
+
+    def to_json(self) -> Dict[str, str]:
+        return {"name": self.name, "structure": self.structure}
 
 
 @dataclass(frozen=True)
@@ -142,16 +196,18 @@ def config_to_json(config: ExecutionConfig) -> Dict[str, Any]:
 
 def config_from_json(data: Dict[str, Any]) -> ExecutionConfig:
     """Rebuild an execution config saved by :func:`config_to_json`."""
-    where = "config"
+    where, error = "config", TraceFormatError
     try:
-        policy = SchedulingPolicy(_require(data, "policy", str, where))
-        race_detection = RaceDetection(_require(data, "race_detection", str, where))
+        policy = SchedulingPolicy(require(data, "policy", str, where, error))
+        race_detection = RaceDetection(
+            require(data, "race_detection", str, where, error)
+        )
     except ValueError as exc:
         raise TraceFormatError(f"{where}: {exc}") from exc
     kwargs: Dict[str, Any] = {}
     for name in _CONFIG_SCALARS:
         expected = int if name == "max_accesses_per_step" else bool
-        kwargs[name] = _require(data, name, expected, where)
+        kwargs[name] = require(data, name, expected, where, error)
     return ExecutionConfig(policy=policy, race_detection=race_detection, **kwargs)
 
 
@@ -220,10 +276,9 @@ class TraceRecord:
     def digest(self) -> str:
         """Stable content hash of the witness; used in filenames, so
         re-saving the same bug overwrites rather than duplicates."""
-        payload = json.dumps(
+        return content_digest(
             [self.program.name, self.bug.kind.value, [list(t.path) for t in self.schedule]]
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:10]
+        )[:10]
 
     def default_filename(self) -> str:
         safe = re.sub(r"[^A-Za-z0-9._-]+", "-", self.program.name)
@@ -232,21 +287,15 @@ class TraceRecord:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
-        threads: List[ThreadId] = []
-        index: Dict[ThreadId, int] = {}
-        for tid in self.schedule:
-            if tid not in index:
-                index[tid] = len(threads)
-                threads.append(tid)
+        table = ThreadTable()
+        schedule = table.encode_schedule(self.schedule)
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
-            "program": {"name": self.program.name, "structure": self.program.structure},
+            "program": self.program.to_json(),
             "config": config_to_json(self.config),
-            "threads": [
-                {"path": list(tid.path), "label": tid.label} for tid in threads
-            ],
-            "schedule": [index[tid] for tid in self.schedule],
+            "threads": table.to_json(),
+            "schedule": schedule,
             "preemptions": self.preemptions,
             "bug": {
                 "kind": self.bug.kind.value,
@@ -262,90 +311,58 @@ class TraceRecord:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write the trace to ``path`` (a file, or a directory in which
-        the :meth:`default_filename` is used)."""
+        """Atomically write the trace to ``path`` (a file, or a
+        directory in which the :meth:`default_filename` is used); a
+        crash mid-write leaves any trace already there intact."""
         target = pathlib.Path(path)
         if target.is_dir():
             target = target / self.default_filename()
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.dumps() + "\n")
-        return target
+        return write_atomic(target, self.dumps() + "\n")
 
     @classmethod
     def from_json(cls, data: Any) -> "TraceRecord":
-        if not isinstance(data, dict):
-            raise TraceFormatError(f"trace must be a JSON object, got {type(data).__name__}")
-        where = "trace"
-        fmt = _require(data, "format", str, where)
-        if fmt != FORMAT_NAME:
-            raise TraceFormatError(f"not a {FORMAT_NAME} file (format={fmt!r})")
-        version = _require(data, "version", int, where)
-        if version != FORMAT_VERSION:
-            raise TraceFormatError(
-                f"unsupported trace version {version} (this build reads {FORMAT_VERSION})"
-            )
-        prog = _require(data, "program", dict, where)
+        where, error = "trace", TraceFormatError
+        check_stamp(data, FORMAT_NAME, FORMAT_VERSION, error, where)
+        prog = require(data, "program", dict, where, error)
         fingerprint = ProgramFingerprint(
-            name=_require(prog, "name", str, "program"),
-            structure=_require(prog, "structure", str, "program"),
+            name=require(prog, "name", str, "program", error),
+            structure=require(prog, "structure", str, "program", error),
         )
-        config = config_from_json(_require(data, "config", dict, where))
+        config = config_from_json(require(data, "config", dict, where, error))
+        threads = ThreadTable.decode(
+            require(data, "threads", list, where, error), "threads", error
+        )
+        schedule = decode_schedule(data.get("schedule"), threads, "schedule", error)
 
-        threads_raw = _require(data, "threads", list, where)
-        threads: List[ThreadId] = []
-        for i, entry in enumerate(threads_raw):
-            if not isinstance(entry, dict):
-                raise TraceFormatError(f"threads[{i}]: must be an object")
-            path = _path_tuple(entry.get("path"), f"threads[{i}]")
-            label = entry.get("label", "")
-            if not isinstance(label, str):
-                raise TraceFormatError(f"threads[{i}]: label must be a string")
-            threads.append(ThreadId.from_path(path, label))
-
-        schedule_raw = _require(data, "schedule", list, where)
-        schedule: List[ThreadId] = []
-        for i, idx in enumerate(schedule_raw):
-            if not isinstance(idx, int) or isinstance(idx, bool) or not (
-                0 <= idx < len(threads)
-            ):
-                raise TraceFormatError(
-                    f"schedule[{i}]: index {idx!r} out of range for {len(threads)} thread(s)"
-                )
-            schedule.append(threads[idx])
-
-        preemptions = _require(data, "preemptions", int, where)
+        preemptions = require(data, "preemptions", int, where, error)
         if preemptions < 0:
             raise TraceFormatError("preemptions must be non-negative")
 
-        bug_raw = _require(data, "bug", dict, where)
+        bug_raw = require(data, "bug", dict, where, error)
         try:
-            kind = BugKind(_require(bug_raw, "kind", str, "bug"))
+            kind = BugKind(require(bug_raw, "kind", str, "bug", error))
         except ValueError as exc:
             raise TraceFormatError(f"bug: {exc}") from exc
-        thread_raw = bug_raw.get("thread")
-        thread = _path_tuple(thread_raw, "bug.thread") if thread_raw is not None else None
+        thread_raw = require(bug_raw, "thread", list, "bug", error, optional=True)
         bug = ExpectedBug(
             kind=kind,
-            message=_require(bug_raw, "message", str, "bug"),
-            thread=thread,
-            step_index=_require(bug_raw, "step_index", int, "bug"),
+            message=require(bug_raw, "message", str, "bug", error),
+            thread=(
+                thread_from_path(thread_raw, "bug.thread", error).path
+                if thread_raw is not None
+                else None
+            ),
+            step_index=require(bug_raw, "step_index", int, "bug", error),
         )
-
-        spec = data.get("spec")
-        if spec is not None and not isinstance(spec, str):
-            raise TraceFormatError("spec must be a string or null")
-        minimized = data.get("minimized", False)
-        if not isinstance(minimized, bool):
-            raise TraceFormatError("minimized must be a boolean")
 
         return cls(
             program=fingerprint,
             config=config,
-            schedule=tuple(schedule),
+            schedule=schedule,
             preemptions=preemptions,
             bug=bug,
-            spec=spec,
-            minimized=minimized,
+            spec=require(data, "spec", str, where, error, optional=True),
+            minimized=bool(require(data, "minimized", bool, where, error, optional=True)),
         )
 
     @classmethod
@@ -358,12 +375,7 @@ class TraceRecord:
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "TraceRecord":
-        source = pathlib.Path(path)
-        try:
-            text = source.read_text()
-        except OSError as exc:
-            raise TraceFormatError(f"cannot read trace {source}: {exc}") from exc
-        return cls.loads(text)
+        return cls.from_json(read_json(path, TraceFormatError, "trace"))
 
     # -- reporting ----------------------------------------------------------
 

@@ -211,7 +211,6 @@ def test_completion_pushes_the_entry_to_peers(tmp_path):
     """Push-on-complete: the moment a daemon finishes a job, its peers
     hold the cache entry -- before any anti-entropy sweep runs."""
     from repro.obs import Instrumentation
-    from repro.net.sync import job_cache_key
 
     cold = FleetDaemon(
         tmp_path / "cold", daemon_id="cold", http_port=0, sync_interval=1e9
@@ -228,7 +227,7 @@ def test_completion_pushes_the_entry_to_peers(tmp_path):
         warm.service.queue.submit("toy:stats-race", max_bound=1)
         assert warm.serve(once=True) == 1
         job = warm.service.queue.jobs()[0]
-        key = job_cache_key(job)
+        key = warm.service.cache_key(job)
         mirrored = cold.service.cache.path_for(key)
         assert mirrored.exists()
         assert (

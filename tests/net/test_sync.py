@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.net.http_api import HttpFrontend, ServiceAPI
-from repro.net.sync import CacheSync, job_cache_key
+from repro.net.sync import CacheSync
 from repro.obs import Instrumentation
 from repro.service.cache import RESULT_CACHE_SUFFIX
 from repro.service.daemon import CheckingService
@@ -37,15 +37,28 @@ def warm_peer(tmp_path):
     front.close()
 
 
-def test_job_cache_key_speaks_the_checkers_vocabulary(tmp_path):
-    service = warm_service(tmp_path / "svc")
-    job = service.queue.jobs()[0]
-    key = job_cache_key(job)
-    # The daemon's own run cached its result under exactly this key.
-    assert key is not None
-    assert service.cache.path_for(key).exists()
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"workers": 2},
+        {"stop_on_first_bug": True},
+        {"state_caching": True},
+        {"max_executions": 1000},
+    ],
+    ids=["default", "workers=2", "stop_on_first_bug", "state_caching", "max_executions"],
+)
+def test_job_cache_key_speaks_the_checkers_vocabulary(tmp_path, shape):
+    service = CheckingService(tmp_path / "svc")
+    job = service.queue.submit(SPEC, max_bound=1, **shape)
+    service.serve(once=True)
+    assert service.queue.get(job.id).status == "done"
+    keys = [p.name for p in service.cache.root.iterdir()]
+    # The key sync asks peers for is the one the daemon's own checker
+    # stored its result under.
+    assert keys == [service.cache.path_for(service.cache_key(job)).name]
     # Unresolvable specs yield no key rather than an error.
-    assert job_cache_key(Job(id="x", spec="no:such-program")) is None
+    assert service.cache_key(Job(id="x", spec="no:such-program")) is None
 
 
 def test_pull_on_miss_installs_the_peers_entry(warm_peer, tmp_path):
@@ -54,7 +67,7 @@ def test_pull_on_miss_installs_the_peers_entry(warm_peer, tmp_path):
     sync = CacheSync(cold, peers=[warm_peer.url], obs=obs)
     job = cold.queue.submit(SPEC, max_bound=1)
     key = sync.pull_for_job(job)
-    assert key == job_cache_key(job)
+    assert key == cold.cache_key(job)
     path = cold.cache.path_for(key)
     assert path.exists()
     assert json.loads(path.read_text())["key"] == key
@@ -98,10 +111,10 @@ def test_synced_bytes_are_identical_to_the_peers(warm_peer, tmp_path):
     warm = warm_peer.api.service
     for path in warm.cache.root.iterdir():
         mirrored = cold.cache.root / path.name
-        assert json.loads(mirrored.read_text()) == json.loads(path.read_text())
+        assert mirrored.read_bytes() == path.read_bytes()
     for path in warm.traces_dir.iterdir():
         mirrored = cold.traces_dir / path.name
-        assert json.loads(mirrored.read_text()) == json.loads(path.read_text())
+        assert mirrored.read_bytes() == path.read_bytes()
 
 
 def test_a_dead_peer_is_not_an_error(tmp_path):
@@ -119,7 +132,49 @@ def test_foreign_or_mismatched_entries_are_rejected(tmp_path):
     assert sync._store_entry(key, {"format": "wrong", "key": key}, "peer") is False
     assert sync._store_entry(key, "not a dict", "peer") is False
     assert sync._store_trace("../escape" + TRACE_SUFFIX, {}, "peer") is False
+    assert sync._store_trace("x" + TRACE_SUFFIX, {"hello": 1}, "peer") is False
     assert not cold.cache.path_for(key).exists()
+    assert not cold.traces_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "poison",
+    [
+        lambda entry: entry.update(version=2),
+        lambda entry: entry.pop("context"),
+    ],
+    ids=["version-2", "missing-context"],
+)
+def test_a_peer_entry_the_checker_cannot_read_is_never_installed(
+    warm_peer, tmp_path, poison
+):
+    """Pull, anti-entropy and push all refuse an entry the local
+    ``ResultCache`` could not serve, so it cannot fail the local job."""
+    from repro.net.client import ServiceClient, ServiceClientError
+
+    [path] = warm_peer.api.service.cache.root.iterdir()
+    key = path.name[: -len(RESULT_CACHE_SUFFIX)]
+    entry = json.loads(path.read_text())
+    poison(entry)
+    path.write_text(json.dumps(entry, sort_keys=True) + "\n")
+    front = HttpFrontend(
+        ServiceAPI(CheckingService(tmp_path / "cold"), daemon_id="cold"), port=0
+    ).start()
+    try:
+        cold = front.api.service
+        job = cold.queue.submit(SPEC, max_bound=1)
+        assert cold.cache_key(job) == key
+        sync = CacheSync(cold, peers=[warm_peer.url])
+        assert sync.pull_for_job(job) is None
+        assert sync.anti_entropy()["results"] == 0
+        with pytest.raises(ServiceClientError, match="not a result-cache"):
+            ServiceClient(front.url, retries=0).push_cache_entry(key, entry)
+        assert not cold.cache.path_for(key).exists()
+        cold.serve(once=True)
+        record = cold.queue.get(job.id)
+        assert (record.status, record.attempts, record.cache_hit) == ("done", 1, False)
+    finally:
+        front.close()
 
 
 class TestPushOnComplete:
@@ -136,7 +191,7 @@ class TestPushOnComplete:
             obs = Instrumentation()
             sync = CacheSync(warm, peers=[front.url], obs=obs)
             job = warm.queue.jobs()[0]
-            key = job_cache_key(job)
+            key = warm.cache_key(job)
             assert sync.push_on_complete(job) == 1
             mirrored = front.api.service.cache.path_for(key)
             assert mirrored.exists()

@@ -73,6 +73,14 @@ class TestFormat:
         with pytest.raises(CheckpointError):
             Checkpoint.load(path)
 
+    def test_malformed_metrics_is_a_checkpoint_error(self, tmp_path):
+        path = _interrupted_checkpoint(tmp_path)
+        data = json.loads(path.read_text())
+        data["metrics"] = {"format": "nope"}
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="metrics"):
+            Checkpoint.load(path)
+
     def test_unknown_version_is_a_checkpoint_error(self, tmp_path):
         path = _interrupted_checkpoint(tmp_path)
         data = json.loads(path.read_text())
